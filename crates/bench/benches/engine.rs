@@ -115,10 +115,9 @@ const CIRCULANT_DEGREE: usize = 16;
 ///
 /// `RunPlan::new` defaults to `available_parallelism()`, so on a modern
 /// 16-hardware-thread host this *is* the out-of-the-box driver shape; the
-/// benchmark pins it so the fresh-vs-workspace comparison measures the
-/// same workload everywhere. Per-trial channel sends and pacing
-/// handshakes are exactly the overhead that grows with worker count —
-/// and exactly what the batched workspace path amortizes away.
+/// benchmark pins it so the throughput figures measure the same workload
+/// everywhere. Channel sends and pacing handshakes are the overhead that
+/// grows with worker count, and chunked record delivery amortizes them.
 const THROUGHPUT_THREADS: usize = 16;
 
 struct Knobs {
@@ -277,28 +276,18 @@ fn bench_gnp_generation(c: &mut Criterion, n: usize, knobs: &Knobs) {
 }
 
 /// Batched trial throughput: the driver's trials/sec on many small
-/// trials, fresh-allocation path vs workspace hot path.
+/// trials.
 ///
-/// Both sides run the *identical* workload — `trials` spreads of the
-/// boxed cut-rate protocol at `THROUGHPUT_THREADS` workers with per-trial
-/// `derive(i)` seeding, summaries bit-identical by the workspace
-/// equivalence contract — so the measured gap is purely the trial-setup
-/// allocations plus the driver's per-trial synchronization:
+/// The workload is `trials` spreads of the boxed cut-rate protocol at
+/// `THROUGHPUT_THREADS` workers with per-trial `derive(i)` seeding, on
+/// the driver's one trial path: per-worker [`gossip_sim::SimWorkspace`]
+/// reuse plus chunked record delivery (one message per up-to-64-trial
+/// chunk). Sub-5µs trials (small n, structured backends) are
+/// driver-bound, so the n = 100 cells measure the driver's own
+/// synchronization; at n = 10⁴ the spread itself dominates.
 ///
-/// * **fresh** (`RunPlan::workspace(false)`) — the pre-workspace driver:
-///   every trial allocates its informed set / Fenwick tree / pools from
-///   scratch and ships one channel message + one pacing handshake per
-///   trial;
-/// * **ws** (default) — per-worker [`gossip_sim::SimWorkspace`] reuse
-///   plus chunked record delivery (one message per up-to-64-trial
-///   chunk).
-///
-/// Metrics: `trial_throughput/<family>/<n>` = the workspace path's
-/// trials/sec, and `workspace_speedup/<family>/<n>` = fresh ÷ ws time.
-/// The win concentrates where trials are cheapest (small n, structured
-/// backends): sub-5µs trials are driver-bound, so the n = 100 complete
-/// cell is the headline (≥ 2× is the acceptance bar); at n = 10⁴ the
-/// spread itself dominates and the ratio approaches 1.
+/// Metric: `trial_throughput/<family>/<n>` = trials/sec, from the
+/// `trial_throughput/<family>-ws/<n>` batch measurement.
 fn bench_trial_throughput<N, F>(
     c: &mut Criterion,
     family: &str,
@@ -314,10 +303,9 @@ fn bench_trial_throughput<N, F>(
     let mut g = c.benchmark_group("trial_throughput");
     g.sample_size(if knobs.smoke { 2 } else { 5 });
 
-    let run = move |reuse: bool| {
+    let run = move || {
         let report = RunPlan::new(trials, 7_700 + n as u64)
             .threads(THROUGHPUT_THREADS)
-            .workspace(reuse)
             .start(0)
             .config(RunConfig::default())
             .execute(make_net, || AnyProtocol::event(CutRateAsync::new()))
@@ -330,21 +318,11 @@ fn bench_trial_throughput<N, F>(
         );
         report
     };
-    g.bench_with_input(
-        BenchmarkId::new(format!("{family}-fresh"), n),
-        &n,
-        |b, _| {
-            b.iter(|| run(false));
-        },
-    );
     g.bench_with_input(BenchmarkId::new(format!("{family}-ws"), n), &n, |b, _| {
-        b.iter(|| run(true));
+        b.iter(run);
     });
     g.finish();
 
-    let fresh = c
-        .measurement_ns(&format!("trial_throughput/{family}-fresh/{n}"))
-        .expect("fresh measurement recorded");
     let ws = c
         .measurement_ns(&format!("trial_throughput/{family}-ws/{n}"))
         .expect("ws measurement recorded");
@@ -353,7 +331,6 @@ fn bench_trial_throughput<N, F>(
         format!("trial_throughput/{family}/{n}"),
         trials as f64 * 1e9 / ws,
     );
-    c.record_metric(format!("workspace_speedup/{family}/{n}"), fresh / ws);
 }
 
 /// RunPlan driver overhead vs the raw trial loop it replaced.
@@ -954,7 +931,7 @@ fn main() {
         );
     }
 
-    // Batched trial throughput: fresh-allocation vs workspace driver at
+    // Batched trial throughput of the workspace driver at
     // n ∈ {100, 1k, 10k} per family. Trial counts sized so one batch
     // runs tens of milliseconds; smoke mode caps them and only runs the
     // driver-bound n = 100 cells.
@@ -990,7 +967,7 @@ fn main() {
         assert!(
             c.measurement_ns(&format!("trial_throughput/{family}-ws/100"))
                 .is_some(),
-            "trial_throughput/{family} must be measured (workspace_speedup key feeds BENCH_engine.json)"
+            "trial_throughput/{family} must be measured (the key feeds BENCH_engine.json)"
         );
     }
 

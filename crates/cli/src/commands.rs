@@ -71,8 +71,6 @@ COMMON FLAGS:
     --groups <int>       net run: node-group threads per trial (default: cores, max 8)
     --delivery <name>    net run: local | udp transport between node groups
     --histogram          render the spread-time distribution (run command)
-    --fresh-alloc        disable per-worker workspace reuse (run command; A/B diagnostic,
-                         bit-identical results, slower small-n throughput)
     --scalar             force the scalar event-loop reference path (run command; A/B
                          diagnostic, same distribution, different per-trial draws)
 
@@ -448,10 +446,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     };
     let max_time = args.opt_f64("max-time", 1e5)?;
     let histogram = args.flag("histogram");
-    // Diagnostic A/B switch: force the fresh-allocation trial path
-    // instead of the default per-worker workspace reuse (bit-identical
-    // results, slower small-n throughput).
-    let fresh_alloc = args.flag("fresh-alloc");
     // A/B switch for the event engine's inner loop: force the scalar
     // reference path instead of the default vectorized loop (same
     // distribution, KS-enforced; per-trial draws differ).
@@ -477,7 +471,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .config(RunConfig::with_max_time(max_time))
         .engine(engine)
         .start_opt(start)
-        .workspace(!fresh_alloc)
         .vectorized(!scalar);
     if let Some((sink, _)) = jsonl.as_mut() {
         plan = plan.observer(sink);

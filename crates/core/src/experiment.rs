@@ -88,7 +88,7 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             paper_item: "Theorem 1.7(iii)",
             claim: "Pr[T(G2) > 2k] <= e^{-k/2} + e^{-k}",
             workload: "DynamicStar tail over many trials, k sweep",
-            modules: "gossip_core::predictions::dynamic_star_tail, gossip_sim::Runner",
+            modules: "gossip_core::predictions::dynamic_star_tail, gossip_sim::RunPlan",
             bench_bin: "exp_e8",
         },
         ExperimentSpec {

@@ -35,8 +35,8 @@ use crate::scenario::{ScenarioError, ScenarioRow, ScenarioSpec};
 /// Stable across processes and platforms; used to bind a journal file to
 /// the experiment that produced it. Two specs hash equal exactly when
 /// they describe the same experiment: presentation-only fields
-/// (description, `[net]`, `sweep.threads` / `workspace` /
-/// `cell_parallel`) and defaults written out explicitly do not change
+/// (description, `[net]`, `sweep.threads` / `cell_parallel`) and
+/// defaults written out explicitly do not change
 /// the hash, and a spec loaded from TOML hashes identically to the same
 /// spec loaded from JSON. The `gossip serve` result store keys on this
 /// hash, so equivalent requests share one cache entry.
@@ -293,10 +293,6 @@ mod tests {
         assert_eq!(spec_hash(&p), base, "thread count is bit-invisible");
 
         let mut p = spec.clone();
-        p.sweep.workspace = Some(false);
-        assert_eq!(spec_hash(&p), base, "workspace reuse is bit-invisible");
-
-        let mut p = spec.clone();
         p.sweep.cell_parallel = Some(true);
         assert_eq!(spec_hash(&p), base, "cell scheduling is bit-invisible");
 
@@ -309,6 +305,17 @@ mod tests {
             spec_hash(&p),
             base,
             "explicit defaults hash like omitted ones"
+        );
+    }
+
+    #[test]
+    fn spec_hash_of_the_template_is_pinned() {
+        // Journals and the serve store are addressed by this value, so any
+        // change to the normalized rendering orphans every entry written
+        // before it. Move the pin only on purpose, with a migration note.
+        assert_eq!(
+            spec_hash(&ScenarioSpec::template()),
+            5_222_194_062_604_172_482
         );
     }
 

@@ -206,12 +206,6 @@ pub struct SweepSpec {
     pub engine: Option<String>,
     /// Start node override (default: the family's suggested start).
     pub start: Option<u32>,
-    /// Trial hot path: `true` (default) reuses a per-worker
-    /// [`gossip_sim::SimWorkspace`] with batched record delivery;
-    /// `false` forces the fresh-allocation reference path
-    /// ([`RunPlan::workspace`]). Results are bit-identical either way —
-    /// the switch exists for A/B diagnostics.
-    pub workspace: Option<bool>,
     /// Event-engine inner loop: `true` (default) allows the vectorized
     /// loop ([`RunPlan::vectorized`]); `false` forces the scalar
     /// reference loop. Same distribution either way (KS-enforced), but
@@ -241,7 +235,6 @@ impl SweepSpec {
             max_time: None,
             engine: None,
             start: None,
-            workspace: None,
             vectorized: None,
             threads: None,
             cell_parallel: None,
@@ -1162,8 +1155,8 @@ impl ScenarioSpec {
     ///
     /// Erased (presentation-only; bit-identical results regardless):
     /// `description`, the `[net]` table (ignored by the analytic
-    /// engines), `sweep.workspace`, `sweep.threads`, and
-    /// `sweep.cell_parallel` (all test-enforced bit-invisible), and an
+    /// engines), `sweep.threads` and `sweep.cell_parallel` (both
+    /// test-enforced bit-invisible), and an
     /// *inactive* `[faults]` table (fault-free by construction).
     ///
     /// Resolved (semantic, but with redundant spellings): unset
@@ -1226,7 +1219,6 @@ impl ScenarioSpec {
                 max_time: Some(sweep.max_time_or_default()),
                 engine,
                 start: sweep.start,
-                workspace: None,
                 vectorized: Some(sweep.vectorized.unwrap_or(true)),
                 threads: None,
                 cell_parallel: None,
@@ -1521,7 +1513,6 @@ impl ScenarioSpec {
                 max_time: Some(1e5),
                 engine: Some("auto".into()),
                 start: None,
-                workspace: None,
                 vectorized: None,
                 threads: None,
                 cell_parallel: None,
@@ -1756,7 +1747,6 @@ impl ScenarioPlan {
             .config(self.config)
             .engine(self.engine)
             .start_opt(self.spec.sweep.start)
-            .workspace(self.spec.sweep.workspace.unwrap_or(true))
             .vectorized(self.spec.sweep.vectorized.unwrap_or(true));
         if let Some(threads) = self.spec.sweep.threads {
             plan = plan.threads(threads);

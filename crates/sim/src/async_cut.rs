@@ -225,7 +225,7 @@ impl CutRateAsync {
     /// Fenwick path (weights accumulated in bulk — one O(n) tree build
     /// instead of one O(log n) update per cut edge).
     ///
-    /// The fresh-allocation path: mid-run rebuilds salvage storage from
+    /// The workspace-free path: mid-run rebuilds salvage storage from
     /// the previous state, but storage dropped at a state switch (or by
     /// [`Protocol::begin`]) is re-allocated. The workspace-aware twin
     /// [`CutRateAsync::rebuild_rates_in`] routes that storage through a

@@ -82,9 +82,10 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
     /// Runs the protocol from `start` until every node is informed or the
     /// cutoff hits. The network is [`DynamicNetwork::reset`] first.
     ///
-    /// Every per-trial structure is freshly allocated; batch drivers
-    /// should prefer [`EventSimulation::run_in`], which recycles them
-    /// through a [`SimWorkspace`] and produces bit-identical outcomes.
+    /// Every per-trial structure is freshly allocated (this is
+    /// [`EventSimulation::run_in`] on a new [`SimWorkspace`]); batch
+    /// drivers should prefer `run_in`, which recycles them across trials
+    /// and produces bit-identical outcomes.
     ///
     /// # Errors
     ///
@@ -97,13 +98,7 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
         start: NodeId,
         rng: &mut SimRng,
     ) -> Result<SpreadOutcome, SimError> {
-        let n = self.validate(net, start)?;
-        net.reset();
-        // Legacy trial boundary: prior protocol state is dropped, and the
-        // empty throwaway workspace makes every check-out allocate fresh.
-        self.protocol.begin(n);
-        let mut ws = SimWorkspace::new();
-        self.run_core(&mut ws, net, n, start, rng)
+        self.run_in(&mut SimWorkspace::new(), net, start, rng)
     }
 
     /// [`EventSimulation::run`] drawing all per-trial scratch — informed

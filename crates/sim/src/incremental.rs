@@ -88,7 +88,7 @@ impl<'a> WindowCtx<'a> {
 /// storage (Fenwick trees, uninformed pools, delta-repair buffers) can be
 /// recycled across trials instead of re-allocated; implementations may
 /// ignore it. Whatever they check out must be reset to the exact state a
-/// fresh allocation would have — the workspace is a memory optimization,
+/// newly allocated structure would have — the workspace is a memory optimization,
 /// never an observable input (see the [`SimWorkspace`] invariants).
 pub trait IncrementalProtocol: Protocol {
     /// Trial-boundary reset for the workspace-reuse path: like

@@ -42,14 +42,9 @@
 //! output. Each worker recycles its per-trial scratch (informed set,
 //! Fenwick storage, pools, buffers) through a [`SimWorkspace`] and the
 //! parallel path delivers records in batches, so small-n/high-trial
-//! sweeps are simulator-bound rather than allocator-bound; results are
-//! bit-identical to the fresh-allocation reference path
-//! ([`RunPlan::workspace`]). The legacy [`Runner`] methods are deprecated shims over
-//! `RunPlan`; migrate
-//! `Runner::new(t, s).run(net, proto, start, cfg)` to
-//! `RunPlan::new(t, s).config(cfg).engine(Engine::Window).execute(net, || AnyProtocol::window(proto()))`
-//! and `run_incremental` likewise with `AnyProtocol::event` (and
-//! `Engine::Auto` or `Engine::Event`).
+//! sweeps are simulator-bound rather than allocator-bound; every trial is
+//! bit-identical to a single [`EventSimulation::run`] / [`Simulation::run`]
+//! on newly allocated state under the same derived seed.
 //!
 //! # Example
 //!
@@ -108,7 +103,7 @@ pub use observer::{
 };
 pub use plan::{AnyProtocol, Engine, RunPlan, RunReport};
 pub use protocol::Protocol;
-pub use runner::{Runner, TrialSummary};
+pub use runner::TrialSummary;
 pub use sync::{SyncPull, SyncPush, SyncPushPull};
 pub use two_push::{ForwardTwoPush, TwoPush};
 pub use workspace::{SimWorkspace, WorkspacePool};

@@ -20,9 +20,7 @@
 //! assert!(report.completion_rate() > 0.99);
 //! ```
 //!
-//! The plan owns the whole trial contract the deprecated
-//! [`crate::Runner`] methods used to split across `run` /
-//! `run_incremental`:
+//! The plan owns the whole trial contract:
 //!
 //! * **Seeding** — trial `i` always consumes the RNG stream
 //!   `SimRng::seed_from_u64(base_seed).derive(i)`, so results are
@@ -34,14 +32,15 @@
 //! * **Streaming observation** — attached [`TrialObserver`]s receive one
 //!   [`crate::TrialRecord`] per trial, in trial order, while later trials
 //!   are still running; the built-in summary accumulates the same way,
-//!   so [`RunReport::summary`] is bit-identical to the legacy runner;
+//!   so [`RunReport::summary`] is bit-identical to folding the records;
 //! * **Workspace reuse** — each worker recycles its per-trial scratch
 //!   (informed set, Fenwick storage, pools, buffers) through one
 //!   [`SimWorkspace`], and the parallel path ships records to the
 //!   observer thread in chunks, so small-n/high-trial batches are
-//!   simulator-bound instead of allocator- and channel-bound;
-//!   [`RunPlan::workspace`] keeps the fresh-allocation reference path
-//!   available, with bit-identical results either way.
+//!   simulator-bound instead of allocator- and channel-bound. A recycled
+//!   workspace is reset to newly allocated state, so every trial is
+//!   bit-identical to [`EventSimulation::run`] / [`Simulation::run`] on
+//!   the same derived seed.
 
 use crate::observer::{SummarySink, TrialObserver, TrialRecord};
 use crate::workspace::WorkspacePool;
@@ -183,7 +182,6 @@ pub struct RunPlan<'o> {
     config: RunConfig,
     engine: Engine,
     start: Option<NodeId>,
-    workspace: bool,
     vectorized: bool,
     faults: Option<FaultModel>,
     pool: Option<Arc<WorkspacePool>>,
@@ -199,7 +197,6 @@ impl fmt::Debug for RunPlan<'_> {
             .field("config", &self.config)
             .field("engine", &self.engine)
             .field("start", &self.start)
-            .field("workspace", &self.workspace)
             .field("vectorized", &self.vectorized)
             .field("faults", &self.faults)
             .field("pool", &self.pool.is_some())
@@ -223,7 +220,6 @@ impl<'o> RunPlan<'o> {
             config: RunConfig::default(),
             engine: Engine::Auto,
             start: None,
-            workspace: true,
             vectorized: true,
             faults: None,
             pool: None,
@@ -243,36 +239,13 @@ impl<'o> RunPlan<'o> {
         self
     }
 
-    /// Selects the trial hot path (default `true`: workspace reuse).
-    ///
-    /// * `true` — each worker owns a [`SimWorkspace`] recycled across its
-    ///   trials (steady-state trial setup allocates nothing), and the
-    ///   parallel path streams records to the observers in **batches**
-    ///   (one channel message and one pacing handshake per chunk of
-    ///   trials instead of per trial).
-    /// * `false` — the fresh-allocation reference path: every trial
-    ///   allocates its structures from scratch and the parallel path
-    ///   delivers records one by one, exactly as the driver did before
-    ///   the workspace refactor.
-    ///
-    /// Results are **bit-identical** either way (test-enforced in
-    /// `tests/workspace_equivalence.rs`); the flag exists for A/B
-    /// benchmarking (`workspace_speedup` in `BENCH_engine.json`) and as a
-    /// diagnostic escape hatch.
-    pub fn workspace(mut self, reuse: bool) -> Self {
-        self.workspace = reuse;
-        self
-    }
-
     /// Draws each worker's [`SimWorkspace`] from a shared long-lived
     /// [`WorkspacePool`] instead of allocating a fresh one per batch, and
     /// returns it to the pool when the batch ends — so repeated
     /// executions in one process (e.g. the `gossip serve` daemon) keep
-    /// their grown scratch arenas warm across runs. Only meaningful with
-    /// workspace reuse enabled (the default); the fresh-allocation
-    /// reference path ignores the checked-out workspace by design.
+    /// their grown scratch arenas warm across runs.
     /// Results are bit-identical with or without a pool, because every
-    /// buffer checked out of a workspace is reset to fresh-allocation
+    /// buffer checked out of a workspace is reset to newly allocated
     /// state (see the [`SimWorkspace`] reset invariants).
     pub fn workspace_pool(mut self, pool: Arc<WorkspacePool>) -> Self {
         self.pool = Some(pool);
@@ -296,9 +269,8 @@ impl<'o> RunPlan<'o> {
     /// vectorized loop consumes the per-trial RNG stream in a different
     /// order, so individual spread times differ under the same seed. The
     /// flag is the A/B reference switch for the `inner_loop_speedup`
-    /// bench family, exactly like [`RunPlan::workspace`] is for
-    /// `workspace_speedup`. Protocols without a vectorized loop ignore
-    /// it; the window engine is always scalar.
+    /// bench family. Protocols without a vectorized loop ignore it; the
+    /// window engine is always scalar.
     pub fn vectorized(mut self, vectorized: bool) -> Self {
         self.vectorized = vectorized;
         self
@@ -457,7 +429,6 @@ impl<'o> RunPlan<'o> {
                 self.start,
                 config,
                 use_event,
-                self.workspace,
                 self.vectorized,
                 self.faults.as_ref(),
                 pool.as_deref(),
@@ -501,9 +472,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// A per-worker trial closure: runs one trial `(index, seed)` on the
-/// engine chosen for the batch and assembles its [`TrialRecord`]. The
-/// workspace argument is the worker's scratch arena (ignored by the
-/// fresh-allocation path).
+/// engine chosen for the batch in the worker's scratch arena and
+/// assembles its [`TrialRecord`].
 type TrialFn<'p, N> = Box<
     dyn FnMut(
             &mut SimWorkspace,
@@ -517,15 +487,12 @@ type TrialFn<'p, N> = Box<
 >;
 
 /// One worker's run closure: engine chosen once per batch, then the same
-/// trial shape for both engines — so the two engines share the seeding
-/// contract by construction. `reuse` selects between the workspace hot
-/// path (`run_in` + buffer recycling) and the fresh-allocation reference
-/// path (`run`, workspace untouched); both produce bit-identical records.
+/// trial shape for both engines (`run_in` + buffer recycling) — so the
+/// two engines share the seeding contract by construction.
 fn make_runner<'p, N: DynamicNetwork>(
     proto: AnyProtocol,
     config: RunConfig,
     use_event: bool,
-    reuse: bool,
     vectorized: bool,
     faults: Option<&FaultModel>,
 ) -> TrialFn<'p, N> {
@@ -539,41 +506,27 @@ fn make_runner<'p, N: DynamicNetwork>(
         if let Some(m) = faults {
             sim = sim.with_faults(m.clone());
         }
-        if reuse {
-            Box::new(move |ws, net, start, trial, seed, rng| {
-                let outcome = sim.run_in(ws, net, start, rng)?;
-                Ok(TrialRecord::from_outcome_in(
-                    trial, seed, outcome, recording, ws,
-                ))
-            })
-        } else {
-            Box::new(move |_ws, net, start, trial, seed, rng| {
-                let outcome = sim.run(net, start, rng)?;
-                Ok(TrialRecord::from_outcome(trial, seed, outcome, recording))
-            })
-        }
+        Box::new(move |ws, net, start, trial, seed, rng| {
+            let outcome = sim.run_in(ws, net, start, rng)?;
+            Ok(TrialRecord::from_outcome_in(
+                trial, seed, outcome, recording, ws,
+            ))
+        })
     } else {
         let mut sim = Simulation::new(proto.into_window(), config);
-        if reuse {
-            Box::new(move |ws, net, start, trial, seed, rng| {
-                let outcome = sim.run_in(ws, net, start, rng)?;
-                Ok(TrialRecord::from_outcome_in(
-                    trial, seed, outcome, recording, ws,
-                ))
-            })
-        } else {
-            Box::new(move |_ws, net, start, trial, seed, rng| {
-                let outcome = sim.run(net, start, rng)?;
-                Ok(TrialRecord::from_outcome(trial, seed, outcome, recording))
-            })
-        }
+        Box::new(move |ws, net, start, trial, seed, rng| {
+            let outcome = sim.run_in(ws, net, start, rng)?;
+            Ok(TrialRecord::from_outcome_in(
+                trial, seed, outcome, recording, ws,
+            ))
+        })
     }
 }
 
 /// Worker pacing: the delivery frontier plus an abort flag.
 ///
 /// No worker starts chunk `c` until `c < frontier + window` (both in
-/// chunk units; a chunk is a single trial on the per-trial paths), so
+/// chunk units; a chunk is a single trial when recording), so
 /// the reorder buffer — and any full trajectories riding in records —
 /// holds `O(window)` entries even when one early trial is a heavy-tailed
 /// straggler (exactly this repo's subject: spread-time distributions
@@ -628,7 +581,7 @@ impl Pace {
 /// slot. Only structured [`SimError`]s (configuration problems that
 /// would hit every trial) cancel the run.
 ///
-/// With `reuse` set, the parallel path processes trials in per-worker
+/// The parallel path processes trials in per-worker
 /// **chunks**: one channel message, one pacing handshake, and one reorder
 /// step per chunk instead of per trial. Chunking is invisible to
 /// observers — records still arrive one by one in strict trial order, and
@@ -644,7 +597,6 @@ fn run_trials<N: DynamicNetwork>(
     start: Option<NodeId>,
     config: RunConfig,
     use_event: bool,
-    reuse: bool,
     vectorized: bool,
     faults: Option<&FaultModel>,
     pool: Option<&WorkspacePool>,
@@ -671,8 +623,7 @@ fn run_trials<N: DynamicNetwork>(
         // trajectory buffers flow straight back into the workspace.
         let mut ws = take_ws();
         let mut net = make_net();
-        let mut run_one =
-            make_runner::<N>(make_proto(), config, use_event, reuse, vectorized, faults);
+        let mut run_one = make_runner::<N>(make_proto(), config, use_event, vectorized, faults);
         let start = start.unwrap_or_else(|| net.suggested_start());
         for i in 0..trials {
             let mut rng = base.derive(i as u64);
@@ -687,14 +638,7 @@ fn run_trials<N: DynamicNetwork>(
                     // — rebuild all three before the next trial.
                     ws = SimWorkspace::new();
                     net = make_net();
-                    run_one = make_runner::<N>(
-                        make_proto(),
-                        config,
-                        use_event,
-                        reuse,
-                        vectorized,
-                        faults,
-                    );
+                    run_one = make_runner::<N>(make_proto(), config, use_event, vectorized, faults);
                     Err(TrialError {
                         trial: i,
                         seed,
@@ -713,13 +657,12 @@ fn run_trials<N: DynamicNetwork>(
     // Parallel path: workers stream record chunks over a bounded channel;
     // the calling thread re-sequences through a [`Pace`]-bounded reorder
     // buffer and feeds observers in trial order. Trial i still consumes
-    // the derive(i) stream, so scheduling cannot change any result. The
-    // fresh-allocation reference path (`reuse = false`) and recording
-    // runs keep the pre-batching chunk size of 1.
-    let chunk = if reuse && !recording {
-        (trials / (threads * 8)).clamp(1, 64)
-    } else {
+    // the derive(i) stream, so scheduling cannot change any result.
+    // Recording runs keep a chunk size of 1.
+    let chunk = if recording {
         1
+    } else {
+        (trials / (threads * 8)).clamp(1, 64)
     };
     let n_chunks = trials.div_ceil(chunk);
     // The admission window, in chunks: bounds the reorder buffer at
@@ -740,7 +683,7 @@ fn run_trials<N: DynamicNetwork>(
                 let mut ws = pool.map_or_else(SimWorkspace::new, WorkspacePool::checkout);
                 let mut net = make_net();
                 let mut run_one =
-                    make_runner::<N>(make_proto(), config, use_event, reuse, vectorized, faults);
+                    make_runner::<N>(make_proto(), config, use_event, vectorized, faults);
                 let start = start.unwrap_or_else(|| net.suggested_start());
                 let mut c = tid;
                 while c < n_chunks && pace.admit(c, window) {
@@ -774,7 +717,6 @@ fn run_trials<N: DynamicNetwork>(
                                     make_proto(),
                                     config,
                                     use_event,
-                                    reuse,
                                     vectorized,
                                     faults,
                                 );

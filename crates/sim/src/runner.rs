@@ -1,4 +1,4 @@
-//! The multi-trial summary type and the deprecated legacy runner.
+//! The multi-trial summary type.
 //!
 //! The paper defines spread time as the first time by which all nodes are
 //! informed *with high probability*; empirically that is a high quantile of
@@ -7,12 +7,8 @@
 //! Trial execution itself lives in [`crate::RunPlan`] — the single entry
 //! point over both engines, with per-trial derived seeds (reproducible
 //! regardless of thread scheduling) and streaming [`crate::TrialObserver`]
-//! delivery. The [`Runner`] methods below are thin deprecated shims kept
-//! for one release; see the migration notes on each.
+//! delivery.
 
-use crate::{AnyProtocol, Engine, IncrementalProtocol, Protocol, RunConfig, RunPlan, SimError};
-use gossip_dynamics::DynamicNetwork;
-use gossip_graph::NodeId;
 use gossip_stats::{OutcomeCounts, RunningMoments, SortedSample};
 
 /// Summary of a batch of simulation trials.
@@ -166,8 +162,12 @@ impl TrialSummary {
     }
 
     /// Empirical tail `Pr[T > x]` over completed trials (incomplete trials
-    /// count as exceeding any `x` below the cutoff).
+    /// count as exceeding any `x` below the cutoff). 0 for a summary of
+    /// zero trials, following [`TrialSummary::completion_rate`].
     pub fn tail_fraction(&self, x: f64) -> f64 {
+        if self.trials == 0 {
+            return 0.0;
+        }
         let incomplete = (self.trials - self.completed) as f64;
         let over = self.times.tail_fraction(x) * self.completed as f64;
         (over + incomplete) / self.trials as f64
@@ -180,183 +180,53 @@ impl TrialSummary {
     }
 }
 
-/// The legacy multi-trial runner — a deprecated shim over
-/// [`crate::RunPlan`].
-///
-/// Both methods forward to [`RunPlan::execute`] with the corresponding
-/// forced engine, so the seeding contract (trial `i` consumes the RNG
-/// stream derived from `(base_seed, i)`) and the resulting
-/// [`TrialSummary`] are bit-identical to what the pre-`RunPlan` runner
-/// produced. Migrate:
-///
-/// ```
-/// use gossip_dynamics::StaticNetwork;
-/// use gossip_graph::generators;
-/// use gossip_sim::{AnyProtocol, CutRateAsync, RunPlan};
-///
-/// // was: Runner::new(64, 42).run(make_net, CutRateAsync::new, None, config)
-/// let report = RunPlan::new(64, 42)
-///     .execute(
-///         || StaticNetwork::new(generators::complete(32).unwrap()),
-///         || AnyProtocol::event(CutRateAsync::new()),
-///     )
-///     .unwrap();
-/// assert_eq!(report.trials(), 64);
-/// assert!(report.completion_rate() > 0.99);
-/// let _t = report.whp_spread_time();
-/// ```
-#[derive(Debug, Clone)]
-pub struct Runner {
-    trials: usize,
-    base_seed: u64,
-    threads: usize,
-}
-
-impl Runner {
-    /// Creates a runner for `trials` trials seeded from `base_seed`, using
-    /// all available parallelism.
-    pub fn new(trials: usize, base_seed: u64) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        Runner {
-            trials,
-            base_seed,
-            threads: threads.min(trials.max(1)),
-        }
-    }
-
-    /// Restricts the runner to a fixed number of threads (1 = sequential).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    fn plan(&self, start: Option<NodeId>, config: RunConfig) -> RunPlan<'static> {
-        // The legacy runner predates the vectorized inner loop and its
-        // contract is the historical RNG stream: pin the scalar path.
-        RunPlan::new(self.trials, self.base_seed)
-            .threads(self.threads)
-            .config(config)
-            .start_opt(start)
-            .vectorized(false)
-    }
-
-    /// Runs all trials on the window-based engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SimError`] of the lowest-indexed failing trial
-    /// (configuration errors surface identically on every trial).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use RunPlan::execute with AnyProtocol (Engine::Window forces this engine)"
-    )]
-    pub fn run<N, P>(
-        &self,
-        make_net: impl Fn() -> N + Sync,
-        make_proto: impl Fn() -> P + Sync,
-        start: Option<NodeId>,
-        config: RunConfig,
-    ) -> Result<TrialSummary, SimError>
-    where
-        N: DynamicNetwork,
-        P: Protocol + 'static,
-    {
-        self.plan(start, config)
-            .engine(Engine::Window)
-            .execute(make_net, move || AnyProtocol::window(make_proto()))
-            .map(crate::RunReport::into_summary)
-    }
-
-    /// Runs all trials on the event-stream engine. Same seeding contract
-    /// as [`Runner::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Runner::run`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use RunPlan::execute with AnyProtocol::event (Engine::Auto picks the event engine)"
-    )]
-    pub fn run_incremental<N, P>(
-        &self,
-        make_net: impl Fn() -> N + Sync,
-        make_proto: impl Fn() -> P + Sync,
-        start: Option<NodeId>,
-        config: RunConfig,
-    ) -> Result<TrialSummary, SimError>
-    where
-        N: DynamicNetwork,
-        P: IncrementalProtocol + 'static,
-    {
-        self.plan(start, config)
-            .engine(Engine::Event)
-            .execute(make_net, move || AnyProtocol::event(make_proto()))
-            .map(crate::RunReport::into_summary)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims must keep replaying the legacy streams
 mod tests {
-    use super::*;
-    use crate::{AsyncPushPull, CutRateAsync};
+    use crate::{AnyProtocol, AsyncPushPull, CutRateAsync, Engine, RunConfig, RunPlan};
     use gossip_dynamics::StaticNetwork;
     use gossip_graph::generators;
 
-    /// The parallel-runner determinism contract: k threads and 1 thread
-    /// yield the *identical* `TrialSummary` for the same master seed —
-    /// bit-equal per-trial times, not just matching moments — because
-    /// trial `i` always consumes the `derive(i)` stream regardless of
-    /// scheduling. Checked on both engines and on an implicit backend.
     #[test]
-    fn deterministic_across_thread_counts() {
-        fn assert_identical(a: &TrialSummary, b: &TrialSummary) {
-            assert_eq!(a.trials(), b.trials());
-            assert_eq!(a.completed(), b.completed());
-            assert_eq!(
-                a.sorted_times(),
-                b.sorted_times(),
-                "per-trial times drifted"
-            );
-            assert!(a.mean().to_bits() == b.mean().to_bits(), "mean drifted");
-            assert_eq!(a.median().to_bits(), b.median().to_bits());
-            assert_eq!(a.std_dev().to_bits(), b.std_dev().to_bits());
-        }
-        let make = || StaticNetwork::new(generators::complete(12).unwrap());
-        let seq = Runner::new(40, 7)
-            .with_threads(1)
-            .run(make, CutRateAsync::new, None, RunConfig::default())
+    fn incomplete_trials_counted() {
+        // Disconnected graph: nothing ever completes.
+        let g = gossip_graph::Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let s = RunPlan::new(10, 1)
+            .config(RunConfig::with_max_time(5.0))
+            .execute(
+                move || StaticNetwork::new(g.clone()),
+                || AnyProtocol::event(AsyncPushPull::new()),
+            )
             .unwrap();
-        for threads in [2, 4, 7] {
-            let par = Runner::new(40, 7)
-                .with_threads(threads)
-                .run(make, CutRateAsync::new, None, RunConfig::default())
-                .unwrap();
-            assert_identical(&seq, &par);
-        }
+        assert_eq!(s.trials(), 10);
+        assert_eq!(s.completed(), 0);
+        assert_eq!(s.completion_rate(), 0.0);
+        assert_eq!(s.tail_fraction(3.0), 1.0);
+    }
 
-        // Event engine on the implicit complete backend: the O(1)
-        // closed-form path must obey the same seeding contract.
-        let make_implicit =
-            || StaticNetwork::from_topology(gossip_graph::Topology::complete(64).unwrap());
-        let seq = Runner::new(33, 99)
-            .with_threads(1)
-            .run_incremental(make_implicit, CutRateAsync::new, None, RunConfig::default())
+    #[test]
+    fn tail_fraction_mixes_incomplete() {
+        let make = || StaticNetwork::new(generators::complete(8).unwrap());
+        let s = RunPlan::new(20, 9)
+            .execute(make, || AnyProtocol::event(AsyncPushPull::new()))
             .unwrap();
-        let par = Runner::new(33, 99)
-            .with_threads(8)
-            .run_incremental(make_implicit, CutRateAsync::new, None, RunConfig::default())
+        // All complete: tail at 0 is 1, tail beyond max is 0.
+        assert_eq!(s.completed(), 20);
+        assert_eq!(s.tail_fraction(0.0), 1.0);
+        let max = s.max();
+        assert_eq!(s.tail_fraction(max + 1.0), 0.0);
+        // Zero trials: the tail reads 0 like the completion rate, not NaN.
+        let empty = RunPlan::new(0, 9)
+            .execute(make, || AnyProtocol::event(AsyncPushPull::new()))
             .unwrap();
-        assert_identical(&seq, &par);
+        assert_eq!(empty.completion_rate(), 0.0);
+        assert_eq!(empty.tail_fraction(0.0), 0.0);
     }
 
     #[test]
     fn summary_statistics_consistent() {
         let make = || StaticNetwork::new(generators::complete(16).unwrap());
-        let s = Runner::new(50, 3)
-            .run(make, AsyncPushPull::new, None, RunConfig::default())
+        let s = RunPlan::new(50, 3)
+            .execute(make, || AnyProtocol::event(AsyncPushPull::new()))
             .unwrap();
         assert_eq!(s.trials(), 50);
         assert_eq!(s.completed(), 50);
@@ -369,60 +239,25 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_trials_counted() {
-        // Disconnected graph: nothing ever completes.
-        let g = gossip_graph::Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let make = move || StaticNetwork::new(g.clone());
-        let s = Runner::new(10, 1)
-            .run(
-                make,
-                AsyncPushPull::new,
-                None,
-                RunConfig::with_max_time(5.0),
-            )
-            .unwrap();
-        assert_eq!(s.completed(), 0);
-        assert_eq!(s.completion_rate(), 0.0);
-        assert_eq!(s.tail_fraction(3.0), 1.0);
-    }
-
-    #[test]
     fn incremental_runner_matches_window_runner_on_static() {
         // Same trial seeding + same event sequence per trial on static
-        // networks; times agree up to float summation order (the window
+        // networks (the scalar event loop draws exactly like the window
+        // engine); times agree up to float summation order (the window
         // engine re-sums the cut rate per window, the event engine
         // maintains it incrementally).
         let make = || StaticNetwork::new(generators::complete(16).unwrap());
-        let window = Runner::new(30, 5)
-            .run(make, CutRateAsync::new, None, RunConfig::default())
-            .unwrap();
-        let event = Runner::new(30, 5)
-            .run_incremental(make, CutRateAsync::new, None, RunConfig::default())
-            .unwrap();
+        let run = |engine| {
+            RunPlan::new(30, 5)
+                .engine(engine)
+                .vectorized(false)
+                .execute(make, || AnyProtocol::event(CutRateAsync::new()))
+                .unwrap()
+        };
+        let (window, event) = (run(Engine::Window), run(Engine::Event));
+        assert_eq!(window.completed(), 30);
         assert_eq!(window.completed(), event.completed());
         for (a, b) in window.sorted_times().iter().zip(event.sorted_times()) {
             assert!((a - b).abs() < 1e-9, "trial time drifted: {a} vs {b}");
         }
-    }
-
-    #[test]
-    fn error_propagates() {
-        let make = || StaticNetwork::new(generators::path(3).unwrap());
-        let err = Runner::new(4, 1)
-            .run(make, AsyncPushPull::new, Some(99), RunConfig::default())
-            .unwrap_err();
-        assert!(matches!(err, SimError::StartOutOfRange { .. }));
-    }
-
-    #[test]
-    fn tail_fraction_mixes_incomplete() {
-        let make = || StaticNetwork::new(generators::complete(8).unwrap());
-        let s = Runner::new(20, 9)
-            .run(make, AsyncPushPull::new, None, RunConfig::default())
-            .unwrap();
-        // All complete: tail at 0 is 1, tail beyond max is 0.
-        assert_eq!(s.tail_fraction(0.0), 1.0);
-        let max = s.max();
-        assert_eq!(s.tail_fraction(max + 1.0), 0.0);
     }
 }

@@ -106,12 +106,12 @@ impl ShrinkPool {
 ///
 /// The workspace only changes *where bytes live*, never *what the
 /// simulator does*: every data structure a trial checks out is reset to
-/// the exact logical state a fresh allocation would have, and no code
+/// the exact logical state a newly allocated one would have, and no code
 /// path consults the workspace to make a decision. Every random draw —
 /// exponential gaps, Fenwick descents, pool picks, loss/downtime coin
 /// flips — therefore happens at the same point of the same stream with
-/// the same outcome, and trial summaries are bit-identical between the
-/// workspace-reuse and fresh-allocation paths (test-enforced in
+/// the same outcome, and trial summaries are bit-identical whether a
+/// trial runs in a recycled workspace or a new one (test-enforced in
 /// `tests/workspace_equivalence.rs`).
 #[derive(Debug, Default)]
 pub struct SimWorkspace {

@@ -5,23 +5,26 @@
 //! contract from every side:
 //!
 //! * **Determinism** — an active fault model is bit-identical by
-//!   `(model, base_seed)` across thread counts and the workspace
-//!   on/off paths, for both the naive and the cut-rate event protocols;
+//!   `(model, base_seed)` across thread counts and against a per-trial
+//!   `EventSimulation::run` loop on new allocations, for both the naive
+//!   and the cut-rate event protocols;
 //! * **KS-equivalence** (α = 0.01) — scalar vs vectorized inner loops,
 //!   and naive vs cut-rate protocols, sample the same faulty
 //!   spread-time distribution;
 //! * **Panic isolation** — a trial that panics is quarantined and
 //!   reported as a [`gossip_sim::TrialError`] while every other trial's
-//!   record stays byte-identical to an undisturbed run;
+//!   record stays byte-identical to an undisturbed run, even when no
+//!   trial survives;
 //! * **Outcome accounting** — the event-budget watchdog reports
 //!   [`TrialOutcome::Budget`] and a permanently crashed frontier
 //!   reports [`TrialOutcome::Died`], both with `spread_time = None`.
 
-use gossip_dynamics::StaticNetwork;
+use gossip_dynamics::{DynamicNetwork, StaticNetwork};
 use gossip_graph::{generators, NodeId, NodeSet, Topology};
 use gossip_sim::{
-    AnyProtocol, AsyncPushPull, CutRateAsync, Engine, FaultModel, FaultState, IncrementalProtocol,
-    JsonlSink, Protocol, RunConfig, RunPlan, RunReport, SimWorkspace, TrialOutcome, TrialSummary,
+    AnyProtocol, AsyncPushPull, CutRateAsync, Engine, EventSimulation, FaultModel, FaultState,
+    IncrementalProtocol, JsonlSink, Protocol, RunConfig, RunPlan, RunReport, SimWorkspace,
+    SummarySink, TrialObserver, TrialOutcome, TrialRecord, TrialSummary,
 };
 use gossip_stats::{ks, SimRng};
 
@@ -56,7 +59,6 @@ fn run_faulty(
     make_proto: impl Fn() -> AnyProtocol + Sync,
     model: &FaultModel,
     threads: usize,
-    reuse: bool,
     vectorized: bool,
     trials: usize,
     seed: u64,
@@ -65,7 +67,6 @@ fn run_faulty(
     let report = RunPlan::new(trials, seed)
         .engine(Engine::Event)
         .threads(threads)
-        .workspace(reuse)
         .vectorized(vectorized)
         .faults(model.clone())
         .config(RunConfig::with_max_time(1e4))
@@ -75,6 +76,47 @@ fn run_faulty(
     assert!(report.trial_errors().is_empty());
     let bytes = sink.into_inner().expect("Vec sink never fails");
     (report.into_summary(), bytes)
+}
+
+/// The per-trial reference for [`run_faulty`]: trial `i` is one
+/// [`EventSimulation::run`] (vectorized loop) on the `base.derive(i)`
+/// stream, with a new network, protocol and workspace per trial.
+fn fresh_faulty(
+    make_net: impl Fn() -> StaticNetwork,
+    make_proto: impl Fn() -> AnyProtocol,
+    model: &FaultModel,
+    trials: usize,
+    seed: u64,
+) -> (TrialSummary, Vec<u8>) {
+    let base = SimRng::seed_from_u64(seed);
+    let mut summary = SummarySink::new();
+    let mut sink = JsonlSink::new(Vec::new());
+    for i in 0..trials {
+        let mut net = make_net();
+        let start = net.suggested_start();
+        let mut protocol = make_proto().into_event().expect("event protocol");
+        protocol.set_vectorized(true);
+        let mut rng = base.derive(i as u64);
+        let outcome = EventSimulation::new(protocol, RunConfig::with_max_time(1e4))
+            .with_faults(model.clone())
+            .run(&mut net, start, &mut rng)
+            .expect("valid faulty trial");
+        let record = TrialRecord {
+            trial: i,
+            seed: rng.base_seed(),
+            n: outcome.n(),
+            spread_time: outcome.spread_time(),
+            windows: outcome.windows(),
+            events: outcome.events(),
+            informed: outcome.informed_count(),
+            outcome: outcome.outcome(),
+            trajectory: None,
+        };
+        summary.on_trial(&record).unwrap();
+        sink.on_trial(&record).unwrap();
+    }
+    let bytes = sink.into_inner().expect("Vec sink never fails");
+    (summary.into_summary(), bytes)
 }
 
 fn assert_bit_identical(a: &TrialSummary, b: &TrialSummary, label: &str) {
@@ -94,7 +136,9 @@ fn assert_bit_identical(a: &TrialSummary, b: &TrialSummary, label: &str) {
 #[test]
 fn faulty_trials_bit_identical_across_threads_and_workspace() {
     // Same (model, seed) → same records, whatever the parallelism or
-    // allocation strategy. Checked on both event protocol families.
+    // allocation strategy: the driver's recycled workspaces match a
+    // new allocation per trial. Checked on both event protocol
+    // families.
     let model = lossy_model();
     for (label, make_proto) in [
         (
@@ -103,31 +147,20 @@ fn faulty_trials_bit_identical_across_threads_and_workspace() {
         ),
         ("naive", || AnyProtocol::event(AsyncPushPull::new())),
     ] {
-        let (ref_summary, ref_bytes) =
-            run_faulty(complete(48), make_proto, &model, 1, false, true, 24, 71);
+        let (ref_summary, ref_bytes) = fresh_faulty(complete(48), make_proto, &model, 24, 71);
         assert!(ref_summary.completed() > 0, "{label}: nothing completed");
         for threads in [1usize, 4] {
-            for reuse in [false, true] {
-                let (summary, bytes) = run_faulty(
-                    complete(48),
-                    make_proto,
-                    &model,
-                    threads,
-                    reuse,
-                    true,
-                    24,
-                    71,
-                );
-                assert_bit_identical(
-                    &ref_summary,
-                    &summary,
-                    &format!("{label}, {threads} thread(s), reuse {reuse}"),
-                );
-                assert_eq!(
-                    ref_bytes, bytes,
-                    "{label}, {threads} thread(s), reuse {reuse}: record streams drifted"
-                );
-            }
+            let (summary, bytes) =
+                run_faulty(complete(48), make_proto, &model, threads, true, 24, 71);
+            assert_bit_identical(
+                &ref_summary,
+                &summary,
+                &format!("{label}, {threads} thread(s)"),
+            );
+            assert_eq!(
+                ref_bytes, bytes,
+                "{label}, {threads} thread(s): record streams drifted"
+            );
         }
     }
 }
@@ -141,7 +174,6 @@ fn inactive_fault_model_is_invisible() {
         || AnyProtocol::event(CutRateAsync::new()),
         &FaultModel::default(),
         1,
-        true,
         true,
         16,
         5,
@@ -163,8 +195,8 @@ fn scalar_vs_vectorized_ks_equivalent_under_faults() {
     // but thins it against the *same* fault stream: distributions match.
     let model = lossy_model();
     let make_proto = || AnyProtocol::event(CutRateAsync::new());
-    let (scalar, _) = run_faulty(gnp(64, 0.2, 9), make_proto, &model, 4, true, false, 400, 23);
-    let (fast, _) = run_faulty(gnp(64, 0.2, 9), make_proto, &model, 4, true, true, 400, 23);
+    let (scalar, _) = run_faulty(gnp(64, 0.2, 9), make_proto, &model, 4, false, 400, 23);
+    let (fast, _) = run_faulty(gnp(64, 0.2, 9), make_proto, &model, 4, true, 400, 23);
     let (a, b) = (scalar.sorted_times(), fast.sorted_times());
     assert!(
         ks::same_distribution(a, b, ALPHA),
@@ -186,7 +218,6 @@ fn naive_vs_cut_rate_ks_equivalent_under_faults() {
         &model,
         4,
         true,
-        true,
         400,
         31,
     );
@@ -195,7 +226,6 @@ fn naive_vs_cut_rate_ks_equivalent_under_faults() {
         || AnyProtocol::event(CutRateAsync::new()),
         &model,
         4,
-        true,
         true,
         400,
         37,
@@ -299,7 +329,6 @@ impl IncrementalProtocol for PanicInjected {
 fn run_with_panics(
     panic_trials: &[usize],
     threads: usize,
-    reuse: bool,
     trials: usize,
     seed: u64,
 ) -> (RunReport, Vec<String>) {
@@ -312,7 +341,6 @@ fn run_with_panics(
     let report = RunPlan::new(trials, seed)
         .engine(Engine::Event)
         .threads(threads)
-        .workspace(reuse)
         .config(RunConfig::with_max_time(1e4))
         .observer(&mut sink)
         .execute(complete(32), move || {
@@ -331,23 +359,23 @@ fn run_with_panics(
 #[test]
 fn panicking_trials_are_quarantined_and_reported() {
     const TRIALS: usize = 10;
-    let panicked = [2usize, 5];
-    let (clean_report, clean_lines) = run_with_panics(&[], 1, true, TRIALS, 77);
+    let (clean_report, clean_lines) = run_with_panics(&[], 1, TRIALS, 77);
     assert_eq!(clean_report.trials(), TRIALS);
     assert_eq!(clean_lines.len(), TRIALS);
-    // The undisturbed record stream minus the panicked trials is exactly
-    // what a panicking run must deliver: quarantine may not leak state
-    // into any surviving trial.
-    let surviving: Vec<String> = clean_lines
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !panicked.contains(i))
-        .map(|(_, l)| l.clone())
-        .collect();
-    for threads in [1usize, 4] {
-        for reuse in [false, true] {
-            let (report, lines) = run_with_panics(&panicked, threads, reuse, TRIALS, 77);
-            let label = format!("{threads} thread(s), reuse {reuse}");
+    // Some trials panic, then every trial does (zero survivors).
+    for panicked in [vec![2usize, 5], (0..TRIALS).collect()] {
+        // The undisturbed record stream minus the panicked trials is
+        // exactly what a panicking run must deliver: quarantine may not
+        // leak state into any surviving trial.
+        let surviving: Vec<String> = clean_lines
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !panicked.contains(i))
+            .map(|(_, l)| l.clone())
+            .collect();
+        for threads in [1usize, 4] {
+            let (report, lines) = run_with_panics(&panicked, threads, TRIALS, 77);
+            let label = format!("{} panicked, {threads} thread(s)", panicked.len());
             let errors = report.trial_errors();
             assert_eq!(errors.len(), panicked.len(), "{label}: error count");
             for (err, &trial) in errors.iter().zip(&panicked) {
@@ -364,6 +392,9 @@ fn panicking_trials_are_quarantined_and_reported() {
                 "{label}: accounting"
             );
             assert_eq!(lines, surviving, "{label}: surviving records drifted");
+            // Rates over the survivors read 0 when there are none, never NaN.
+            let tail = if report.trials() == 0 { 0.0 } else { 1.0 };
+            assert_eq!(report.tail_fraction(0.0), tail, "{label}: tail fraction");
         }
     }
 }

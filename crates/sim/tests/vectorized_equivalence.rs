@@ -63,6 +63,8 @@ fn materialized_backend_scalar_vs_vectorized_ks() {
     let make = || StaticNetwork::new(generators::barbell(12).unwrap());
     assert_eq!(g.n(), make().n());
     assert_modes_ks_equivalent(make, 11);
+    // A long-diameter cycle: Θ(n) spread times with a two-node frontier.
+    assert_modes_ks_equivalent(|| StaticNetwork::new(generators::cycle(24).unwrap()), 1000);
 }
 
 #[test]

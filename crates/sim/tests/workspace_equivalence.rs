@@ -1,12 +1,14 @@
-//! Workspace-reuse vs fresh-allocation equivalence.
+//! Workspace reuse vs per-trial allocation equivalence.
 //!
 //! The [`gossip_sim::SimWorkspace`] hot path is a pure memory
 //! optimization: every structure a trial checks out of the workspace is
-//! reset to exactly the state a fresh allocation would have, so the RNG
+//! reset to exactly the state a newly allocated one would have, so the RNG
 //! stream is consumed identically and results are **bit-identical** to
-//! the fresh-allocation reference path (`RunPlan::workspace(false)`,
-//! which replays the pre-workspace driver: per-trial allocation and
-//! per-trial record delivery).
+//! the per-trial reference: a test-side loop running one
+//! `EventSimulation::run` / `Simulation::run` per trial on
+//! `base.derive(i)`, with a new network, protocol and workspace each
+//! time ([`fresh_reference`]). The driver's dirty, recycled workspaces
+//! must be indistinguishable from those fresh ones.
 //!
 //! Enforced here per engine (event + window) × topology backend
 //! (implicit, sampled, materialized) × thread count (1 inline, 4 with
@@ -18,10 +20,11 @@
 use gossip_dynamics::{DynamicNetwork, SequenceNetwork, StaticNetwork};
 use gossip_graph::{generators, Topology};
 use gossip_sim::{
-    AnyProtocol, CutRateAsync, Engine, JsonlSink, LossyAsync, RunConfig, RunPlan, TrajectorySink,
-    TrialSummary, TwoPush,
+    AnyProtocol, CutRateAsync, Engine, EventSimulation, JsonlSink, LossyAsync, RunConfig, RunPlan,
+    SimError, Simulation, SummarySink, TrajectorySink, TrialObserver, TrialRecord, TrialSummary,
+    TwoPush,
 };
-use gossip_stats::ks;
+use gossip_stats::{ks, SimRng};
 
 fn assert_bit_identical(a: &TrialSummary, b: &TrialSummary, label: &str) {
     assert_eq!(a.trials(), b.trials(), "{label}: trial counts");
@@ -50,23 +53,77 @@ fn assert_bit_identical(a: &TrialSummary, b: &TrialSummary, label: &str) {
     }
 }
 
+fn config() -> RunConfig {
+    RunConfig::with_max_time(1e4)
+}
+
 fn summarize<N: DynamicNetwork>(
     make_net: impl Fn() -> N + Sync,
     make_proto: impl Fn() -> AnyProtocol + Sync,
     engine: Engine,
     threads: usize,
-    reuse: bool,
     trials: usize,
     seed: u64,
 ) -> TrialSummary {
     RunPlan::new(trials, seed)
         .threads(threads)
         .engine(engine)
-        .workspace(reuse)
-        .config(RunConfig::with_max_time(1e4))
+        .config(config())
         .execute(make_net, make_proto)
         .expect("valid plan")
         .into_summary()
+}
+
+/// The per-trial reference: trial `i` is one
+/// [`EventSimulation::run`] (vectorized loop; [`Simulation::run`] for
+/// [`Engine::Window`]) on the `base.derive(i)` stream, with a new
+/// network, protocol and workspace per trial. Records are folded into
+/// the summary and sent to `observer`, in trial order, as the driver
+/// does; trajectories are recorded only when the observer asks.
+fn fresh_reference<N: DynamicNetwork>(
+    make_net: impl Fn() -> N,
+    make_proto: impl Fn() -> AnyProtocol,
+    engine: Engine,
+    trials: usize,
+    seed: u64,
+    mut observer: Option<&mut dyn TrialObserver>,
+) -> TrialSummary {
+    let mut config = config();
+    config.record_trajectory = observer.as_ref().is_some_and(|o| o.wants_trajectory());
+    let base = SimRng::seed_from_u64(seed);
+    let mut summary = SummarySink::new();
+    for i in 0..trials {
+        let mut net = make_net();
+        let start = net.suggested_start();
+        let mut rng = base.derive(i as u64);
+        let outcome = match engine {
+            Engine::Window => {
+                Simulation::new(make_proto().into_window(), config).run(&mut net, start, &mut rng)
+            }
+            _ => {
+                let mut protocol = make_proto().into_event().expect("event-capable protocol");
+                protocol.set_vectorized(true); // the driver's default loop
+                EventSimulation::new(protocol, config).run(&mut net, start, &mut rng)
+            }
+        }
+        .expect("valid reference trial");
+        let record = TrialRecord {
+            trial: i,
+            seed: rng.base_seed(),
+            n: outcome.n(),
+            spread_time: outcome.spread_time(),
+            windows: outcome.windows(),
+            events: outcome.events(),
+            informed: outcome.informed_count(),
+            outcome: outcome.outcome(),
+            trajectory: config.record_trajectory.then(|| outcome.into_trajectory()),
+        };
+        summary.on_trial(&record).unwrap();
+        if let Some(o) = observer.as_mut() {
+            o.on_trial(&record).unwrap();
+        }
+    }
+    summary.into_summary()
 }
 
 /// One (family, protocol) cell checked across engines and thread counts.
@@ -77,9 +134,9 @@ fn check_cell<N: DynamicNetwork>(
     make_proto: impl Fn() -> AnyProtocol + Sync + Copy,
 ) {
     for &engine in engines {
+        let fresh = fresh_reference(make_net, make_proto, engine, 24, 97, None);
         for &threads in &[1usize, 4] {
-            let fresh = summarize(make_net, make_proto, engine, threads, false, 24, 97);
-            let reused = summarize(make_net, make_proto, engine, threads, true, 24, 97);
+            let reused = summarize(make_net, make_proto, engine, threads, 24, 97);
             assert_bit_identical(
                 &fresh,
                 &reused,
@@ -190,8 +247,8 @@ fn ks_distribution_check_on_complete_family() {
     // two paths must still sample the same spread-time distribution.
     let make_net = || StaticNetwork::from_topology(Topology::complete(48).unwrap());
     let make_proto = || AnyProtocol::event(CutRateAsync::new());
-    let fresh = summarize(make_net, make_proto, Engine::Event, 1, false, 700, 1000);
-    let reused = summarize(make_net, make_proto, Engine::Event, 1, true, 700, 2000);
+    let fresh = fresh_reference(make_net, make_proto, Engine::Event, 700, 1000, None);
+    let reused = summarize(make_net, make_proto, Engine::Event, 1, 700, 2000);
     assert!(
         ks::same_distribution(fresh.sorted_times(), reused.sorted_times(), 0.01),
         "KS = {}",
@@ -203,27 +260,25 @@ fn ks_distribution_check_on_complete_family() {
 fn observer_streams_byte_identical() {
     // The full observer contract: a JSONL sink fed by the batched
     // workspace path must produce byte-for-byte the stream the per-trial
-    // fresh path produced, for 1 and 4 threads.
-    let stream = |reuse: bool, threads: usize| -> Vec<u8> {
+    // fresh reference produces, for 1 and 4 threads.
+    let make_net = || StaticNetwork::from_topology(Topology::complete(32).unwrap());
+    let make_proto = || AnyProtocol::event(CutRateAsync::new());
+    let mut sink = JsonlSink::new(Vec::new());
+    fresh_reference(make_net, make_proto, Engine::Event, 40, 11, Some(&mut sink));
+    let reference = sink.into_inner().expect("flush");
+    assert!(!reference.is_empty());
+    for threads in [1usize, 4] {
         let mut sink = JsonlSink::new(Vec::new());
         RunPlan::new(40, 11)
             .threads(threads)
-            .workspace(reuse)
+            .config(config())
             .observer(&mut sink)
-            .execute(
-                || StaticNetwork::from_topology(Topology::complete(32).unwrap()),
-                || AnyProtocol::event(CutRateAsync::new()),
-            )
+            .execute(make_net, make_proto)
             .expect("valid plan");
-        sink.into_inner().expect("flush")
-    };
-    let reference = stream(false, 1);
-    assert!(!reference.is_empty());
-    for (reuse, threads) in [(false, 4), (true, 1), (true, 4)] {
         assert_eq!(
-            stream(reuse, threads),
+            sink.into_inner().expect("flush"),
             reference,
-            "stream drifted (reuse {reuse}, {threads} thread(s))"
+            "stream drifted ({threads} thread(s))"
         );
     }
 }
@@ -232,49 +287,44 @@ fn observer_streams_byte_identical() {
 fn trajectory_recycling_keeps_curves_identical() {
     // Trajectory recording ships the recorded buffer inside the record;
     // the inline path recycles it back into the workspace afterwards.
-    // Curves must match the fresh path exactly in either mode.
-    let curves = |reuse: bool, threads: usize| {
+    // Curves must match the fresh reference exactly either way.
+    let make_net = || StaticNetwork::new(generators::cycle(24).unwrap());
+    let make_proto = || AnyProtocol::event(CutRateAsync::new());
+    let mut sink = TrajectorySink::new(16);
+    fresh_reference(make_net, make_proto, Engine::Event, 12, 5, Some(&mut sink));
+    let reference = sink.into_curves();
+    assert_eq!(reference.len(), 12);
+    for threads in [1usize, 4] {
         let mut sink = TrajectorySink::new(16);
         RunPlan::new(12, 5)
             .threads(threads)
-            .workspace(reuse)
+            .config(config())
             .observer(&mut sink)
-            .execute(
-                || StaticNetwork::new(generators::cycle(24).unwrap()),
-                || AnyProtocol::event(CutRateAsync::new()),
-            )
+            .execute(make_net, make_proto)
             .expect("valid plan");
-        sink.into_curves()
-    };
-    let reference = curves(false, 1);
-    assert_eq!(reference.len(), 12);
-    for (reuse, threads) in [(true, 1), (true, 4)] {
         assert_eq!(
-            curves(reuse, threads),
+            sink.into_curves(),
             reference,
-            "curves drifted (reuse {reuse}, {threads} thread(s))"
+            "curves drifted ({threads} thread(s))"
         );
     }
 }
 
 #[test]
 fn errors_propagate_identically_on_both_paths() {
-    for reuse in [false, true] {
-        let err = RunPlan::new(8, 1)
-            .threads(3)
-            .workspace(reuse)
-            .start(99)
-            .execute(
-                || StaticNetwork::new(generators::path(3).unwrap()),
-                || AnyProtocol::event(CutRateAsync::new()),
-            )
-            .unwrap_err();
+    let make_net = || StaticNetwork::new(generators::path(3).unwrap());
+    let fresh = EventSimulation::new(CutRateAsync::new(), config())
+        .run(&mut make_net(), 99, &mut SimRng::seed_from_u64(1))
+        .unwrap_err();
+    let reused = RunPlan::new(8, 1)
+        .threads(3)
+        .start(99)
+        .execute(make_net, || AnyProtocol::event(CutRateAsync::new()))
+        .unwrap_err();
+    for (label, err) in [("fresh", fresh), ("workspace", reused)] {
         assert!(
-            matches!(
-                err,
-                gossip_sim::SimError::StartOutOfRange { start: 99, n: 3 }
-            ),
-            "reuse {reuse}: unexpected error {err:?}"
+            matches!(err, SimError::StartOutOfRange { start: 99, n: 3 }),
+            "{label}: unexpected error {err:?}"
         );
     }
 }
@@ -295,9 +345,9 @@ fn workspace_survives_heterogeneous_backends_in_one_worker() {
         .unwrap()
     };
     let make_proto = || AnyProtocol::event(CutRateAsync::new());
+    let fresh = fresh_reference(make_net, make_proto, Engine::Event, 30, 33, None);
     for threads in [1usize, 4] {
-        let fresh = summarize(make_net, make_proto, Engine::Event, threads, false, 30, 33);
-        let reused = summarize(make_net, make_proto, Engine::Event, threads, true, 30, 33);
+        let reused = summarize(make_net, make_proto, Engine::Event, threads, 30, 33);
         assert_bit_identical(&fresh, &reused, &format!("mixed backends, {threads} thr"));
     }
 }

@@ -71,8 +71,8 @@ pub mod prelude {
     pub use gossip_sim::{
         AnyProtocol, AsyncPushPull, CutRateAsync, Engine, EventSimulation, Flooding,
         IncrementalProtocol, JsonlSink, LossyAsync, Protocol, RunConfig, RunPlan, RunReport,
-        Runner, Simulation, SpreadOutcome, SummarySink, SyncPushPull, TrajectorySink,
-        TrialObserver, TrialRecord, TrialSummary, WorkspacePool,
+        Simulation, SpreadOutcome, SummarySink, SyncPushPull, TrajectorySink, TrialObserver,
+        TrialRecord, TrialSummary, WorkspacePool,
     };
     pub use gossip_stats::{Quantiles, RunningMoments, SimRng, SortedSample};
 }
